@@ -14,9 +14,7 @@ test:
 # (BENCH_churn.json: query latency under continuous ingestion, sharded store
 # vs the single-snapshot baseline, 50k nodes), then the fault sweep
 # (BENCH_faults.json: closest-node accuracy across probe-loss rates x CDN
-# staleness windows), then the gossip sweep (BENCH_gossip.json: multi-daemon
-# convergence rounds and replication fidelity across rumor fanout x
-# gossip-link packet loss), then the aggregation scale bench
+# staleness windows), then the aggregation scale bench
 # (BENCH_scale.json: million-client ingest with prefix aggregation on/off x
 # prefix granularity — state reduction, closest-node rank delta vs the
 # per-client baseline, query p99 under concurrent ingest), then the
@@ -32,7 +30,6 @@ bench:
 	$(GO) run ./cmd/crpbench -exp crpd -quick -out BENCH_crpd.json
 	$(GO) run ./cmd/crpbench -exp churn -out BENCH_churn.json
 	$(GO) run ./cmd/crpbench -exp faults -out BENCH_faults.json
-	$(GO) run ./cmd/crpbench -exp gossip -out BENCH_gossip.json
 	$(GO) run ./cmd/crpbench -exp scale -out BENCH_scale.json
 	$(GO) run ./cmd/crpbench -exp fusion -out BENCH_fusion.json
 	$(GO) run ./cmd/crpbench -exp drift -out BENCH_drift.json
@@ -41,14 +38,13 @@ bench:
 # accuracy envelopes per fault class, activation-counter assertions,
 # byte-identical reruns) under the race detector, the packet-level fault
 # tests on the dnsserver and crpd UDP paths, then a short fuzz smoke over
-# the five wire decoders (DNS, plus the JSON and binary decoders on the
-# crpd and gossip planes).
+# the four wire decoders (DNS, the JSON and binary crpd decoders, and the
+# binary gossip decoder).
 test-faults:
-	$(GO) test -race -run 'Degradation|Faults|WrapPacketConn|Scenario|Storm|Probe|LDNS|MapEpoch|Activation|Clock|Gossip' ./internal/faults/ ./internal/experiment/
+	$(GO) test -race -run 'Degradation|Faults|WrapPacketConn|Scenario|Storm|Probe|LDNS|MapEpoch|Activation|Clock' ./internal/faults/ ./internal/experiment/
 	$(GO) test -race -run 'Retransmit|SurvivesDuplicated|UnderDup|UnderTotal|Decode|Hostile|Boundary' ./internal/dnsserver/ ./internal/crpdaemon/
 	$(GO) test -fuzz FuzzUnpack -fuzztime 10s ./internal/dnswire/
 	$(GO) test -fuzz FuzzDecodeRequest -fuzztime 10s ./internal/crpdaemon/
-	$(GO) test -fuzz FuzzDecodePeerMsg -fuzztime 10s ./internal/peering/
 	$(GO) test -fuzz FuzzDecodeBinaryRequest -fuzztime 10s ./internal/crpdaemon/
 	$(GO) test -fuzz FuzzDecodeBinaryPeerMsg -fuzztime 10s ./internal/peering/
 	$(GO) test -fuzz FuzzDecodeScenario -fuzztime 10s ./internal/scenario/

@@ -15,7 +15,6 @@
 // stress-benchmarks the positioning daemon over loopback UDP; churn
 // interleaves continuous Observe load with concurrent query load across
 // store designs; faults sweeps the deterministic fault-injection plane;
-// gossip sweeps the multi-daemon peering plane across fanout x packet loss;
 // scale ingests a million-client population with prefix aggregation on and
 // off; fusion scores the fused multi-CDN kernel against single-CDN paths;
 // scenario drives a real daemon mesh from a declarative JSON plan (see

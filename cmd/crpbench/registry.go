@@ -103,11 +103,6 @@ var experiments = []experimentSpec{
 		run:   func(a benchArgs) error { return runFaultSweep(a.quick, a.seed, a.out) },
 	},
 	{
-		name: "gossip", desc: "mesh convergence across rumor fanout x gossip packet loss",
-		flags: []string{"quick", "seed"},
-		run:   func(a benchArgs) error { return runGossipBench(a.quick, a.seed, a.out) },
-	},
-	{
 		name: "scale", desc: "million-client ingest with prefix aggregation on/off",
 		flags: []string{"quick", "seed", "det-out"},
 		run:   func(a benchArgs) error { return runScale(a.quick, a.seed, a.out, a.detOut) },

@@ -41,32 +41,26 @@ type StoreConfig struct {
 	FullRebuild bool
 }
 
-// defaultShardCount returns the default store width: the next power of two
-// of 4× GOMAXPROCS, clamped to [256, 1024]. The large floor matters even on
-// small hosts — shards bound the *invalidation scope* of a mutation, not
-// just lock contention. A rebuild patches every shard a batch of writes
-// touched, each patch copying N/S entries, so with B writes spread across
-// shards the copied volume is ≈ S·(1-(1-1/S)^B)·N/S entries — a quantity
-// that *shrinks* as S grows, along with the allocation garbage those copies
-// feed the collector. The churn benchmark measures the effect directly: at
+// defaultShardCount returns the default store width on a host running
+// procs threads: the next power of two of 4×procs, clamped to [256, 1024].
+// The large floor matters even on small hosts — shards bound the
+// *invalidation scope* of a mutation, not just lock contention. A rebuild
+// patches every shard a batch of writes touched, each patch copying N/S
+// entries, so with B writes spread across shards the copied volume is
+// ≈ S·(1-(1-1/S)^B)·N/S entries — a quantity that *shrinks* as S grows,
+// along with the allocation garbage those copies feed the collector. The churn benchmark measures the effect directly: at
 // 50k nodes under a 1.5k/s observe stream, going from 64 to 256 shards
 // nearly halves query p99 on a single-core host. Per-shard fixed overhead
 // (two small maps, a gauge, three words of sync state) is a few hundred
 // bytes, so even a store holding a handful of nodes pays nothing noticeable
 // for an oversized shard table.
-func defaultShardCount() int {
-	return shardCount(4 * runtime.GOMAXPROCS(0))
+func defaultShardCount(procs int) int {
+	return shardCount(min(max(4*procs, 256), 1024))
 }
 
-// shardCount rounds n up to a power of two in [256, 1024].
+// shardCount rounds n up to a power of two. An explicit StoreConfig.Shards
+// goes through it unclamped, so Shards: 1 really gets one shard.
 func shardCount(n int) int {
-	const floor, ceil = 256, 1024
-	if n < floor {
-		n = floor
-	}
-	if n > ceil {
-		n = ceil
-	}
 	p := 1
 	for p < n {
 		p <<= 1
@@ -190,11 +184,10 @@ func (s storeSnap) flatten() []nodeVec {
 // newStore builds an empty store with cfg.Shards shards (rounded up to a
 // power of two) applying opts to every tracker it creates.
 func newStore(cfg StoreConfig, opts []TrackerOption) *store {
-	n := cfg.Shards
-	if n <= 0 {
-		n = defaultShardCount()
+	n := defaultShardCount(runtime.GOMAXPROCS(0))
+	if cfg.Shards > 0 {
+		n = shardCount(cfg.Shards)
 	}
-	n = shardCount2(n)
 	st := &store{
 		shards: make([]storeShard, n),
 		mask:   uint32(n - 1),
@@ -210,16 +203,6 @@ func newStore(cfg StoreConfig, opts []TrackerOption) *store {
 	}
 	svcMetrics.shardWidth.Set(int64(n))
 	return st
-}
-
-// shardCount2 rounds n up to a power of two without applying the default
-// clamp, so explicit StoreConfig{Shards: 1} really gets one shard.
-func shardCount2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }
 
 // shardIndex routes a node to its shard index by FNV-1a over the ID bytes.

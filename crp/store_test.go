@@ -7,19 +7,24 @@ import (
 )
 
 func TestShardCountDefaults(t *testing.T) {
-	cases := []struct{ in, want int }{
-		{1, 256}, {255, 256}, {256, 256}, {257, 512}, {1000, 1024}, {5000, 1024},
+	// The default width is 4×procs rounded up to a power of two in
+	// [256, 1024].
+	cases := []struct{ procs, want int }{
+		{1, 256}, {63, 256}, {64, 256}, {65, 512}, {250, 1024}, {1250, 1024},
 	}
 	for _, c := range cases {
+		if got := defaultShardCount(c.procs); got != c.want {
+			t.Errorf("defaultShardCount(%d) = %d, want %d", c.procs, got, c.want)
+		}
+	}
+	// An explicit width is only rounded up to a power of two.
+	for _, c := range []struct{ in, want int }{{1, 1}, {5, 8}, {256, 256}, {257, 512}, {5000, 8192}} {
 		if got := shardCount(c.in); got != c.want {
 			t.Errorf("shardCount(%d) = %d, want %d", c.in, got, c.want)
 		}
 	}
-	if got := shardCount2(1); got != 1 {
-		t.Errorf("shardCount2(1) = %d, want 1 (explicit single-shard config)", got)
-	}
-	if got := shardCount2(5); got != 8 {
-		t.Errorf("shardCount2(5) = %d, want 8", got)
+	if got := newStore(StoreConfig{Shards: 1}, nil).mask; got != 0 {
+		t.Errorf("StoreConfig{Shards: 1} built mask %d, want one shard", got)
 	}
 }
 

@@ -18,13 +18,13 @@ import (
 
 // sampleMsgs covers every message type with every field its type uses,
 // including the encoding edge cases (zero time, tombstones, empty
-// collections, explicit codec token).
+// collections).
 func sampleMsgs() []Msg {
 	thresholdAt := time.Date(2026, 8, 8, 10, 20, 30, 123456789, time.UTC)
 	return []Msg{
-		{Type: MsgJoin, From: "d1", Addr: "127.0.0.1:9000", Codec: CodecBinary},
+		{Type: MsgJoin, From: "d1", Addr: "127.0.0.1:9000"},
 		{Type: MsgJoinAck, From: "d2", Addr: "127.0.0.1:9001"},
-		{Type: MsgDigest, From: "d1", ShardCount: 4, Digests: []uint64{0, 1, 1<<64 - 1, 42}, Codec: CodecBinary},
+		{Type: MsgDigest, From: "d1", ShardCount: 4, Digests: []uint64{0, 1, 1<<64 - 1, 42}},
 		{Type: MsgDiff, From: "d2", Shards: []int{0, 3, MaxShardCount - 1}, Metas: []crp.NodeMeta{
 			{Node: "n1", Origin: "d1", Version: 2},
 			{Node: "n2", Origin: "d2", Version: 9, Deleted: true},
@@ -67,43 +67,40 @@ func asJSON(t *testing.T, m Msg) string {
 	return string(b)
 }
 
-// TestBinaryPeerMsgRoundTrip pins decode(encode(x)) == x for the binary
-// codec on every message type, and that the codec flag reports binary.
+// TestBinaryPeerMsgRoundTrip pins decode(encode(x)) == x on every message
+// type, and that encoding is canonical.
 func TestBinaryPeerMsgRoundTrip(t *testing.T) {
 	for _, m := range sampleMsgs() {
-		raw, err := encodeBinaryPeerMsg(&m)
+		raw, err := encodePeerMsg(&m)
 		if err != nil {
-			t.Fatalf("%s: encode: %v", m.Type, err)
+			t.Fatalf("%d: encode: %v", m.Type, err)
 		}
-		if raw[0] != binMagic {
-			t.Fatalf("%s: first byte 0x%02x, want the binary magic", m.Type, raw[0])
+		if raw[0] != binMagic || raw[1] != binVersion {
+			t.Fatalf("%d: header 0x%02x 0x%02x, want the magic and version %d", m.Type, raw[0], raw[1], binVersion)
 		}
-		got, bin, err := decodePeerMsg(raw)
+		got, err := decodePeerMsg(raw)
 		if err != nil {
-			t.Fatalf("%s: decode: %v", m.Type, err)
-		}
-		if !bin {
-			t.Fatalf("%s: decode reported JSON for a binary datagram", m.Type)
+			t.Fatalf("%d: decode: %v", m.Type, err)
 		}
 		if asJSON(t, got) != asJSON(t, m) {
-			t.Fatalf("%s: round trip mismatch:\n got %s\nwant %s", m.Type, asJSON(t, got), asJSON(t, m))
+			t.Fatalf("%d: round trip mismatch:\n got %s\nwant %s", m.Type, asJSON(t, got), asJSON(t, m))
 		}
 		// Canonical encoding: re-encoding the decoded message is
-		// byte-identical (the determinism the bench rerun gate relies on).
-		again, err := encodeBinaryPeerMsg(&got)
+		// byte-identical (the determinism the scenario rerun gate relies on).
+		again, err := encodePeerMsg(&got)
 		if err != nil {
-			t.Fatalf("%s: re-encode: %v", m.Type, err)
+			t.Fatalf("%d: re-encode: %v", m.Type, err)
 		}
 		if !bytes.Equal(raw, again) {
-			t.Fatalf("%s: re-encode not byte-identical", m.Type)
+			t.Fatalf("%d: re-encode not byte-identical", m.Type)
 		}
 	}
 }
 
-// TestCrossCodecPeerMsg is the JSON↔binary property test: for generated
-// messages, decoding the JSON encoding and decoding the binary encoding
-// yield identical messages.
-func TestCrossCodecPeerMsg(t *testing.T) {
+// TestGeneratedPeerMsgRoundTrip is the round-trip property over generated
+// messages: random field mixes on every type decode back to the message
+// that was encoded.
+func TestGeneratedPeerMsgRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	id := func(prefix string) string {
 		return fmt.Sprintf("%s-%02d", prefix, rng.Intn(100))
@@ -111,21 +108,16 @@ func TestCrossCodecPeerMsg(t *testing.T) {
 	at := func() time.Time {
 		return time.Unix(1_700_000_000+rng.Int63n(1_000_000), rng.Int63n(1_000_000_000)).UTC()
 	}
-	types := []string{MsgJoin, MsgJoinAck, MsgDelta, MsgDigest, MsgDiff, MsgPull}
 	for i := 0; i < 200; i++ {
-		m := Msg{Type: types[rng.Intn(len(types))], From: id("d"), TTL: rng.Intn(MaxTTL + 1)}
+		m := Msg{Type: MsgType(rng.Intn(int(MsgPull) + 1)), From: id("d"), TTL: rng.Intn(MaxTTL + 1)}
 		if rng.Intn(2) == 0 {
 			m.Addr = id("addr")
-		}
-		if rng.Intn(2) == 0 {
-			m.Codec = CodecBinary
 		}
 		switch m.Type {
 		case MsgDigest:
 			m.ShardCount = 1 + rng.Intn(8)
-			m.Digests = make([]uint64, rng.Intn(8))
-			for j := range m.Digests {
-				m.Digests[j] = rng.Uint64()
+			for j := 0; j < rng.Intn(8); j++ {
+				m.Digests = append(m.Digests, rng.Uint64())
 			}
 		case MsgDiff:
 			for j := 0; j < rng.Intn(4); j++ {
@@ -158,43 +150,30 @@ func TestCrossCodecPeerMsg(t *testing.T) {
 			}
 		}
 
-		jsonRaw, err := encodePeerMsg(&m, false)
+		raw, err := encodePeerMsg(&m)
 		if err != nil {
-			t.Fatalf("case %d: json encode: %v", i, err)
+			t.Fatalf("case %d: encode: %v", i, err)
 		}
-		binRaw, err := encodePeerMsg(&m, true)
+		got, err := decodePeerMsg(raw)
 		if err != nil {
-			t.Fatalf("case %d: binary encode: %v", i, err)
+			t.Fatalf("case %d: decode: %v", i, err)
 		}
-		if len(binRaw) >= len(jsonRaw) {
-			t.Fatalf("case %d (%s): binary encoding %d bytes, JSON %d — binary must be smaller",
-				i, m.Type, len(binRaw), len(jsonRaw))
-		}
-		fromJSON, bin, err := decodePeerMsg(jsonRaw)
-		if err != nil || bin {
-			t.Fatalf("case %d: json decode: bin=%v err=%v", i, bin, err)
-		}
-		fromBin, bin, err := decodePeerMsg(binRaw)
-		if err != nil || !bin {
-			t.Fatalf("case %d: binary decode: bin=%v err=%v", i, bin, err)
-		}
-		if asJSON(t, fromJSON) != asJSON(t, fromBin) {
-			t.Fatalf("case %d: codecs disagree:\n json %s\n bin  %s",
-				i, asJSON(t, fromJSON), asJSON(t, fromBin))
+		if asJSON(t, got) != asJSON(t, m) {
+			t.Fatalf("case %d: round trip mismatch:\n got %s\nwant %s", i, asJSON(t, got), asJSON(t, m))
 		}
 	}
 }
 
-// TestBinaryPeerMsgBounds is the boundary table for the binary decoder:
-// exact-limit accept, limit+1 reject, mirroring the JSON table above it in
+// TestBinaryPeerMsgBounds is the boundary table for the frame decoder:
+// exact-limit accept, limit+1 reject, next to the decode-path table in
 // wire_test.go.
 func TestBinaryPeerMsgBounds(t *testing.T) {
 	decode := func(m *Msg) error {
-		raw, err := encodeBinaryPeerMsg(m)
+		raw, err := encodePeerMsg(m)
 		if err != nil {
 			return err
 		}
-		_, _, err = decodePeerMsg(raw)
+		_, err = decodePeerMsg(raw)
 		return err
 	}
 	base := func() Msg { return Msg{Type: MsgDigest, From: "d1"} }
@@ -211,13 +190,6 @@ func TestBinaryPeerMsgBounds(t *testing.T) {
 		m.From = strings.Repeat("x", MaxIDBytes+1)
 		if err := decode(&m); err == nil {
 			t.Fatal("oversized from accepted")
-		}
-	})
-	t.Run("codec over limit", func(t *testing.T) {
-		m := base()
-		m.Codec = strings.Repeat("c", MaxCodecBytes+1)
-		if err := decode(&m); err == nil {
-			t.Fatal("oversized codec token accepted")
 		}
 	})
 	t.Run("ttl at limit", func(t *testing.T) {
@@ -298,21 +270,20 @@ func TestBinaryPeerMsgBounds(t *testing.T) {
 		}
 	})
 	t.Run("deltas binary count over limit", func(t *testing.T) {
-		// A count past MaxDeltasBinary is rejected by the ceiling check
-		// before the remaining-bytes check can even apply.
+		// A count past MaxDeltas is rejected by the ceiling check before
+		// the remaining-bytes check can even apply.
 		var e binwire.Enc
 		e.U8(binMagic)
 		e.U8(binVersion)
-		e.U8(2) // delta type code
+		e.U8(byte(MsgDelta))
 		e.String("d1")
-		e.String("")
 		e.String("")
 		e.Uvarint(1) // ttl
 		e.Uvarint(0) // shardCount
 		e.Uvarint(0) // digests
 		e.Uvarint(0) // shards
 		e.Uvarint(0) // metas
-		e.Uvarint(MaxDeltasBinary + 1)
+		e.Uvarint(MaxDeltas + 1)
 		if _, err := decodeBinaryPeerMsg(e.Bytes()); err == nil {
 			t.Fatal("binary delta count over limit accepted")
 		}
@@ -322,38 +293,56 @@ func TestBinaryPeerMsgBounds(t *testing.T) {
 		e.U8(binMagic)
 		e.U8(binVersion)
 		e.U8(99)
-		if _, _, err := decodePeerMsg(e.Bytes()); err == nil {
+		if _, err := decodePeerMsg(e.Bytes()); err == nil {
 			t.Fatal("unknown type code accepted")
 		}
 	})
 	t.Run("unknown version", func(t *testing.T) {
-		raw, err := encodeBinaryPeerMsg(&Msg{Type: MsgJoin, From: "d1"})
+		raw, err := encodePeerMsg(&Msg{Type: MsgJoin, From: "d1"})
 		if err != nil {
 			t.Fatal(err)
 		}
 		raw[1] = binVersion + 1
-		if _, _, err := decodePeerMsg(raw); err == nil {
+		if _, err := decodePeerMsg(raw); err == nil {
 			t.Fatal("unknown binary version accepted")
 		}
 	})
+	t.Run("version 1 frame", func(t *testing.T) {
+		// A version 1 frame carried a codec-advertisement string after
+		// addr; it must be refused by version, not misparsed as ttl.
+		var e binwire.Enc
+		e.U8(binMagic)
+		e.U8(1)
+		e.U8(byte(MsgJoin))
+		e.String("d1")
+		e.String("127.0.0.1:9000")
+		e.String("bin1")
+		for i := 0; i < 8; i++ {
+			e.Uvarint(0) // ttl, shardCount and the six collection counts
+		}
+		_, err := decodePeerMsg(e.Bytes())
+		if err == nil || !strings.Contains(err.Error(), "version") {
+			t.Fatalf("version 1 frame: err = %v, want an unsupported-version error", err)
+		}
+	})
 	t.Run("trailing bytes", func(t *testing.T) {
-		raw, err := encodeBinaryPeerMsg(&Msg{Type: MsgJoin, From: "d1"})
+		raw, err := encodePeerMsg(&Msg{Type: MsgJoin, From: "d1"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := decodePeerMsg(append(raw, 0)); err == nil {
+		if _, err := decodePeerMsg(append(raw, 0)); err == nil {
 			t.Fatal("trailing bytes accepted")
 		}
 	})
 	t.Run("every truncation fails cleanly", func(t *testing.T) {
 		for _, m := range sampleMsgs() {
-			raw, err := encodeBinaryPeerMsg(&m)
+			raw, err := encodePeerMsg(&m)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for cut := 0; cut < len(raw); cut++ {
-				if _, _, err := decodePeerMsg(raw[:cut]); err == nil {
-					t.Fatalf("%s truncated to %d/%d bytes accepted", m.Type, cut, len(raw))
+				if _, err := decodePeerMsg(raw[:cut]); err == nil {
+					t.Fatalf("type %d truncated to %d/%d bytes accepted", m.Type, cut, len(raw))
 				}
 			}
 		}
@@ -361,31 +350,26 @@ func TestBinaryPeerMsgBounds(t *testing.T) {
 }
 
 // TestWorstCaseDigestFitsTheWire pins the MaxShardCount sizing argument: the
-// worst-case digest message at the full shard width — every digest word at
-// its widest encoding, maximal sender identity — must encode under
-// MaxMsgSize in both codecs. This is the test that made the former
-// 4096-shard ceiling a lie.
+// worst-case digest message at the full shard width — maximal sender
+// identity and address — must encode under MaxMsgSize.
 func TestWorstCaseDigestFitsTheWire(t *testing.T) {
 	digests := make([]uint64, MaxShardCount)
 	for i := range digests {
-		digests[i] = 1<<64 - 1 // 20 decimal digits in JSON, 8+ varint-free bytes in binary
+		digests[i] = 1<<64 - 1
 	}
 	m := Msg{
 		Type:       MsgDigest,
 		From:       strings.Repeat("x", MaxIDBytes),
 		Addr:       strings.Repeat("y", MaxIDBytes),
-		Codec:      CodecBinary,
 		ShardCount: MaxShardCount,
 		Digests:    digests,
 	}
-	for _, bin := range []bool{false, true} {
-		raw, err := encodePeerMsg(&m, bin)
-		if err != nil {
-			t.Fatalf("bin=%v: worst-case digest unencodable: %v", bin, err)
-		}
-		if len(raw) > MaxMsgSize {
-			t.Fatalf("bin=%v: worst-case digest is %d bytes, exceeds MaxMsgSize %d", bin, len(raw), MaxMsgSize)
-		}
+	raw, err := encodePeerMsg(&m)
+	if err != nil {
+		t.Fatalf("worst-case digest unencodable: %v", err)
+	}
+	if len(raw) > MaxMsgSize {
+		t.Fatalf("worst-case digest is %d bytes, exceeds MaxMsgSize %d", len(raw), MaxMsgSize)
 	}
 }
 
@@ -394,32 +378,29 @@ func TestWorstCaseDigestFitsTheWire(t *testing.T) {
 // ceiling used to pass the encoder's size check and then fail at WriteTo.
 // Now the encoder rejects it and nothing reaches the socket.
 func TestEncodeRejectsUnsendable(t *testing.T) {
-	// Build a pull message and pad the node list until the JSON encoding
-	// lands inside the gap: coarse 64-byte entries up to just below the
-	// ceiling, then one entry sized to land at 65512.
+	// Build a pull message and pad the node list until the encoding lands
+	// inside the gap: 64-byte entries up to just below the ceiling, then one
+	// entry sized to land at 65512.
 	m := Msg{Type: MsgPull, From: "d1"}
-	entry := strings.Repeat("n", 60)
-	for {
-		raw, err := json.Marshal(m)
+	size := func() int {
+		raw, err := encodePeerMsg(&m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(raw) > 65507-128 {
-			// Adding a node of length L grows the JSON by L+3 bytes
-			// (quotes plus comma).
-			m.Nodes = append(m.Nodes, strings.Repeat("q", 65512-len(raw)-3))
-			break
-		}
-		m.Nodes = append(m.Nodes, fmt.Sprintf("%s%04d", entry, len(m.Nodes)))
+		return len(raw)
 	}
-	raw, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
+	for size() <= 65507-256 {
+		m.Nodes = append(m.Nodes, fmt.Sprintf("%s%04d", strings.Repeat("n", 60), len(m.Nodes)))
 	}
-	if len(raw) <= 65507 || len(raw) > 65536 {
-		t.Fatalf("setup failed to land in the gap: %d bytes", len(raw))
+	// A node of length L (128 <= L < 16384) grows the frame by L+2 bytes;
+	// the node count stays a two-byte uvarint.
+	n := size()
+	last := strings.Repeat("q", 65512-n-2)
+	m.Nodes = append(m.Nodes, last)
+	if got := n + binwire.StringLen(last); got <= 65507 || got > 65536 {
+		t.Fatalf("setup failed to land in the gap: %d bytes", got)
 	}
-	if _, err := encodePeerMsg(&m, false); err == nil {
+	if raw, err := encodePeerMsg(&m); err == nil {
 		t.Fatalf("encoder accepted a %d-byte message no UDP datagram can carry", len(raw))
 	}
 
@@ -436,8 +417,8 @@ func TestEncodeRejectsUnsendable(t *testing.T) {
 	}
 	p.Attach(mesh.Conn("gap-self"))
 	peerConn := mesh.Conn("gap-peer") // register before sending: MemMesh drops to unknown addrs
-	if _, err := p.sendRaw(memAddr("gap-peer"), &m, false); err == nil {
-		t.Fatal("sendRaw accepted an unsendable message")
+	if _, err := p.send(memAddr("gap-peer"), &m); err == nil {
+		t.Fatal("send accepted an unsendable message")
 	}
 	if got := p.Stats().SendErrors; got != 1 {
 		t.Fatalf("send_errors = %d, want 1", got)
@@ -467,7 +448,11 @@ func TestOversizedDatagramDropped(t *testing.T) {
 	// Simulate what the read loop sees for a too-large datagram: its
 	// MaxMsgSize+1 buffer filled completely.
 	huge := make([]byte, MaxMsgSize+1)
-	copy(huge, []byte(`{"type":"join","from":"ovr-peer"`)) // a truncated prefix of a valid message
+	join, err := encodePeerMsg(&Msg{Type: MsgJoin, From: "ovr-peer"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(huge, join) // a valid message followed by what the kernel cut off
 	p.HandleDatagram(huge, memAddr("ovr-peer"))
 	st := p.Stats()
 	if st.OversizeMsgs != 1 {
@@ -481,110 +466,9 @@ func TestOversizedDatagramDropped(t *testing.T) {
 	}
 }
 
-// TestJSONOnlyEngineRejectsBinary pins the non-upgraded-daemon simulation: a
-// JSON-pinned engine treats binary datagrams as undecodable and never
-// advertises binary support.
-func TestJSONOnlyEngineRejectsBinary(t *testing.T) {
-	mesh := NewMemMesh()
-	svc := crp.NewServiceWithStore(crp.StoreConfig{Shards: 4})
-	p, err := New(Config{
-		Self: "legacy", Addr: "legacy", Service: svc, Codec: "json",
-		Registry: obs.NewRegistry(), Resolve: mesh.Resolve,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Attach(mesh.Conn("legacy"))
-	if got := p.codecToken(); got != "" {
-		t.Fatalf("JSON-only engine advertises codec %q", got)
-	}
-	raw, err := encodeBinaryPeerMsg(&Msg{Type: MsgJoin, From: "modern", Addr: "modern"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.HandleDatagram(raw, memAddr("modern"))
-	st := p.Stats()
-	if st.BadMsgs != 1 || st.BinMsgs != 0 {
-		t.Fatalf("bad_msgs = %d, bin_msgs = %d; want 1, 0", st.BadMsgs, st.BinMsgs)
-	}
-	if len(p.Status().Peers) != 0 {
-		t.Fatal("binary join registered a peer on a JSON-only engine")
-	}
-
-	// Unknown codec values are config errors, not silent fallbacks.
-	if _, err := New(Config{
-		Self: "bad", Service: crp.NewServiceWithStore(crp.StoreConfig{Shards: 4}),
-		Codec: "msgpack", Registry: obs.NewRegistry(),
-	}); err == nil {
-		t.Fatal("unknown codec accepted")
-	}
-}
-
-// TestCodecNegotiationUpgrades pins the advertisement flow: two binary
-// engines statically peered (no join handshake) upgrade to binary after the
-// first digest advertisement, while a JSON peer never does.
-func TestCodecNegotiationUpgrades(t *testing.T) {
-	mesh := NewMemMesh()
-	mk := func(self, codec string) *Peering {
-		svc := crp.NewServiceWithStore(crp.StoreConfig{Shards: 4})
-		p, err := New(Config{
-			Self: self, Addr: self, Service: svc, Codec: codec,
-			Registry: obs.NewRegistry(), Resolve: mesh.Resolve, Seed: 1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Attach(mesh.Conn(self))
-		return p
-	}
-	a, b := mk("up-a", ""), mk("up-b", "")
-	if err := a.AddPeer("up-b", "up-b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddPeer("up-a", "up-a"); err != nil {
-		t.Fatal(err)
-	}
-	// Statically added peers start on the JSON fallback.
-	if a.peerByID("up-b").bin.Load() {
-		t.Fatal("peer marked binary before any advertisement")
-	}
-	// One digest from a (JSON, carries the advertisement) upgrades b's view
-	// of a; pump the mesh manually.
-	a.Tick(time.Unix(10, 0))
-	buf := make([]byte, MaxMsgSize+1)
-	bc := mesh.Conn("up-b")
-	for {
-		n, from, err := bc.ReadFrom(buf)
-		if err != nil {
-			break
-		}
-		b.HandleDatagram(buf[:n], from)
-	}
-	if !b.peerByID("up-a").bin.Load() {
-		t.Fatal("digest advertisement did not mark the sender binary-capable")
-	}
-	// b's next digest to a now goes binary.
-	b.Tick(time.Unix(11, 0))
-	ac := mesh.Conn("up-a")
-	n, from, err := ac.ReadFrom(buf)
-	if err != nil {
-		t.Fatalf("no digest from b: %v", err)
-	}
-	if buf[0] != binMagic {
-		t.Fatalf("upgraded peer still sent JSON (first byte 0x%02x)", buf[0])
-	}
-	a.HandleDatagram(buf[:n], from)
-	if !a.peerByID("up-b").bin.Load() {
-		t.Fatal("receiving a binary datagram did not mark the sender binary-capable")
-	}
-	if b.Stats().BinSent == 0 {
-		t.Fatal("bin_sent did not count the binary digest")
-	}
-}
-
 // TestSendDeltasPacksToBudget pins the size-driven batching: entries small
-// enough to share a datagram are batched together (binary runs past the old
-// count cap), and every emitted datagram respects MaxMsgSize.
+// enough to share a datagram are batched together, and every emitted
+// datagram respects MaxMsgSize.
 func TestSendDeltasPacksToBudget(t *testing.T) {
 	mesh := NewMemMesh()
 	svc := crp.NewServiceWithStore(crp.StoreConfig{Shards: 4})
@@ -601,9 +485,8 @@ func TestSendDeltasPacksToBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	ps := p.peerByID("pack-peer")
-	ps.bin.Store(true) // binary path: packing is budget-driven
 
-	deltas := make([]crp.NodeDelta, 600) // 600 > the JSON MaxDeltas cap of 256
+	deltas := make([]crp.NodeDelta, 600)
 	for i := range deltas {
 		deltas[i] = crp.NodeDelta{NodeMeta: crp.NodeMeta{
 			Node: crp.NodeID(fmt.Sprintf("node-%04d", i)), Origin: "pack-self", Version: 1,
@@ -621,9 +504,9 @@ func TestSendDeltasPacksToBudget(t *testing.T) {
 		if n > MaxMsgSize {
 			t.Fatalf("packed datagram is %d bytes, exceeds MaxMsgSize", n)
 		}
-		m, bin, err := decodePeerMsg(buf[:n])
-		if err != nil || !bin {
-			t.Fatalf("packed datagram undecodable: bin=%v err=%v", bin, err)
+		m, err := decodePeerMsg(buf[:n])
+		if err != nil {
+			t.Fatalf("packed datagram undecodable: %v", err)
 		}
 		msgs++
 		total += len(m.Deltas)
@@ -638,7 +521,7 @@ func TestSendDeltasPacksToBudget(t *testing.T) {
 	}
 }
 
-// corruptedSeeds returns the hand-built malformed binary datagrams the fuzz
+// corruptedBinarySeeds returns the hand-built malformed binary datagrams the fuzz
 // corpus checks in alongside the valid encodings: each one pins a distinct
 // decoder rejection path.
 func corruptedBinarySeeds(valid [][]byte) [][]byte {
@@ -658,15 +541,16 @@ func corruptedBinarySeeds(valid [][]byte) [][]byte {
 	return out
 }
 
-// FuzzDecodeBinaryPeerMsg fuzzes the binary gossip decoder specifically:
-// never panic, never accept an out-of-bounds message, and everything
-// accepted re-encodes canonically and survives the full datagram handler.
+// FuzzDecodeBinaryPeerMsg fuzzes the gossip decoder: never panic, never
+// accept an out-of-bounds message, and everything accepted re-encodes
+// canonically and survives the full datagram handler against a store that
+// holds an entry.
 // The checked-in corpus under testdata/fuzz seeds every message type plus
 // the corruption shapes above (regenerate with REGEN_FUZZ_CORPUS=1).
 func FuzzDecodeBinaryPeerMsg(f *testing.F) {
 	var valid [][]byte
 	for _, m := range sampleMsgs() {
-		raw, err := encodeBinaryPeerMsg(&m)
+		raw, err := encodePeerMsg(&m)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -690,39 +574,33 @@ func FuzzDecodeBinaryPeerMsg(f *testing.F) {
 	if err := p.AddPeer("binfuzz-peer", "binfuzz-peer"); err != nil {
 		f.Fatal(err)
 	}
+	if err := svc.Observe("seed-node", time.Unix(0, 0), "r1", "r2"); err != nil {
+		f.Fatal(err)
+	}
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		m, bin, err := decodePeerMsg(raw)
+		m, err := decodePeerMsg(raw)
 		if err != nil {
 			p.HandleDatagram(raw, memAddr("binfuzz-peer")) // must not panic on rejects either
 			return
 		}
-		if bin != (len(raw) > 0 && raw[0] == binMagic) {
-			t.Fatalf("codec flag %v disagrees with the first byte", bin)
-		}
-		maxDeltas := MaxDeltas
-		if bin {
-			maxDeltas = MaxDeltasBinary
-		}
-		if len(m.From) > MaxIDBytes || m.TTL > MaxTTL || m.ShardCount > MaxShardCount ||
-			len(m.Digests) > MaxShardCount || len(m.Deltas) > maxDeltas ||
+		if m.Type > MsgPull || len(m.From) > MaxIDBytes || m.TTL > MaxTTL || m.ShardCount > MaxShardCount ||
+			len(m.Digests) > MaxShardCount || len(m.Deltas) > MaxDeltas ||
 			len(m.Metas) > MaxMetas || len(m.Nodes) > MaxPullNodes {
 			t.Fatalf("decoder accepted out-of-bounds message: %+v", m)
 		}
-		if bin {
-			// Accepted binary messages re-encode canonically: encode is
-			// total on decoder output and a second decode agrees.
-			re, err := encodeBinaryPeerMsg(&m)
-			if err != nil {
-				t.Fatalf("decoded message unencodable: %v", err)
-			}
-			m2, _, err := decodePeerMsg(re)
-			if err != nil {
-				t.Fatalf("re-encoded message undecodable: %v", err)
-			}
-			if asJSON(t, m) != asJSON(t, m2) {
-				t.Fatalf("re-encode round trip drifted")
-			}
+		// Accepted messages re-encode canonically: encode is total on
+		// decoder output and a second decode agrees.
+		re, err := encodePeerMsg(&m)
+		if err != nil {
+			t.Fatalf("decoded message unencodable: %v", err)
+		}
+		m2, err := decodePeerMsg(re)
+		if err != nil {
+			t.Fatalf("re-encoded message undecodable: %v", err)
+		}
+		if asJSON(t, m) != asJSON(t, m2) {
+			t.Fatalf("re-encode round trip drifted")
 		}
 		p.HandleDatagram(raw, memAddr("binfuzz-peer"))
 	})
@@ -741,7 +619,7 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 	}
 	var valid [][]byte
 	for _, m := range sampleMsgs() {
-		raw, err := encodeBinaryPeerMsg(&m)
+		raw, err := encodePeerMsg(&m)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,11 +8,11 @@ import (
 )
 
 // MemMesh is an in-memory datagram fabric for deterministic multi-daemon
-// tests and the gossip convergence harness: every address owns a FIFO queue,
-// WriteTo appends to the destination's queue, ReadFrom pops the caller's
-// own. There are no goroutines and no timing — a single-threaded pump that
+// tests and the scenario runner's mem transport: every address owns a FIFO
+// queue, WriteTo appends to the destination's queue, ReadFrom pops the
+// caller's own. There are no goroutines and no timing — a single-threaded pump that
 // drains queues in a fixed order replays identically every run, which is
-// what makes the bench's same-seed reruns byte-identical. Conns are plain
+// what makes same-seed scenario reruns byte-identical. Conns are plain
 // net.PacketConns, so faults.Plane.WrapPacketConn layers loss/dup/reorder
 // on top exactly as it does on a UDP socket.
 type MemMesh struct {

@@ -1,12 +1,14 @@
 package peering
 
 import (
+	"fmt"
 	"net"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro/crp"
+	"repro/internal/faults"
 	"repro/internal/obs"
 )
 
@@ -214,6 +216,50 @@ func TestForgetPropagatesAsTombstone(t *testing.T) {
 	}
 }
 
+// TestForgetPropagatesUnderLoss is the forget path on a lossy mesh: with 30%
+// of gossip datagrams dropped on receipt, observations must still reach
+// every daemon and forgets issued on non-origin daemons must still erase
+// their nodes mesh-wide, each within 50 rounds. Fanout 1 keeps rumors alone
+// from covering the loss, so anti-entropy must repair what they miss.
+func TestForgetPropagatesUnderLoss(t *testing.T) {
+	tm := newTestMesh(t, 3, crp.StoreConfig{Shards: 8}, 1)
+	plane, err := faults.New(nil, faults.Scenario{
+		Seed:   7,
+		Faults: []faults.Fault{{Kind: faults.PacketLoss, Rate: 0.3, Target: "gossip"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range tm.conns {
+		tm.conns[i] = plane.WrapPacketConn(tm.conns[i], "gossip")
+	}
+	tm.fullMesh(t)
+	const nodes = 30
+	for i := 0; i < nodes; i++ {
+		node := crp.NodeID(fmt.Sprintf("n%02d", i))
+		if err := tm.svcs[i%3].Observe(node, time.Unix(int64(1+i), 0), "r1", crp.ReplicaID(fmt.Sprintf("r%d", 2+i%4))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tm.converge(t, 50)
+	// Forget every third node on a daemon that did not originate it.
+	for i := 0; i < nodes; i += 3 {
+		tm.svcs[(i+1)%3].Forget(crp.NodeID(fmt.Sprintf("n%02d", i)))
+	}
+	tm.converge(t, 50)
+	for d, svc := range tm.svcs {
+		for i := 0; i < nodes; i++ {
+			_, err := svc.RatioMap(crp.NodeID(fmt.Sprintf("n%02d", i)))
+			if forgotten := i%3 == 0; forgotten != (err != nil) {
+				t.Fatalf("daemon %d: n%02d forgotten=%v but RatioMap err=%v", d, i, forgotten, err)
+			}
+		}
+	}
+	if plane.Activations()[faults.PacketLoss] == 0 {
+		t.Fatal("pkt-loss never activated; the test is vacuous")
+	}
+}
+
 func TestTombstoneGCReclaimsAfterHorizon(t *testing.T) {
 	tm := newTestMesh(t, 2, crp.StoreConfig{Shards: 8}, 1)
 	tm.fullMesh(t)
@@ -243,7 +289,11 @@ func TestShapeMismatchIsCountedNotApplied(t *testing.T) {
 	if err := p.AddPeer("z-daemon", "z-daemon"); err != nil {
 		t.Fatal(err)
 	}
-	p.HandleDatagram([]byte(`{"type":"digest","from":"z-daemon","shardCount":4,"digests":[1,2,3,4]}`), memAddr("z-daemon"))
+	raw, err := encodePeerMsg(&Msg{Type: MsgDigest, From: "z-daemon", ShardCount: 4, Digests: []uint64{1, 2, 3, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.HandleDatagram(raw, memAddr("z-daemon"))
 	if got := p.Stats().ShapeMismatch; got != 1 {
 		t.Fatalf("shape mismatch counter = %d, want 1", got)
 	}

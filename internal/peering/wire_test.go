@@ -1,60 +1,85 @@
 package peering
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/crp"
-	"repro/internal/obs"
 )
 
+// TestDecodePeerMsgBounds is the decode-path boundary table: every bound
+// checkPeerMsg and the frame decoder enforce, plus datagrams of the retired
+// JSON codec, which must be rejected as bad messages rather than parsed.
 func TestDecodePeerMsgBounds(t *testing.T) {
 	longID := strings.Repeat("x", MaxIDBytes+1)
-	manyNodes := `["` + strings.Repeat(`n","`, MaxPullNodes) + `n"]`
+	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	enc := func(m Msg) []byte {
+		t.Helper()
+		raw, err := encodePeerMsg(&m)
+		if err != nil {
+			t.Fatalf("encode %+v: %v", m, err)
+		}
+		return raw
+	}
+	withType := func(code byte) []byte {
+		raw := enc(Msg{Type: MsgJoin, From: "d1"})
+		raw[2] = code
+		return raw
+	}
+	manyNodes := make([]string, MaxPullNodes+1)
+	for i := range manyNodes {
+		manyNodes[i] = "n"
+	}
 	cases := []struct {
 		name    string
-		raw     string
+		raw     []byte
 		wantErr string
 	}{
-		{"valid join", `{"type":"join","from":"d1","addr":"127.0.0.1:9"}`, ""},
-		{"valid digest", `{"type":"digest","from":"d1","shardCount":2,"digests":[1,2]}`, ""},
-		{"valid delta", `{"type":"delta","from":"d1","ttl":3,"deltas":[{"node":"n1","version":1,"probes":[{"at":"2026-01-01T00:00:00Z","replicas":["r1"]}]}]}`, ""},
-		{"valid pull", `{"type":"pull","from":"d1","nodes":["n1","n2"]}`, ""},
-		{"empty payload", ``, "bad message"},
-		{"truncated json", `{"type":"del`, "bad message"},
-		{"not an object", `[1,2]`, "bad message"},
-		{"unknown type", `{"type":"evict","from":"d1"}`, "unknown message type"},
-		{"missing type", `{"from":"d1"}`, "unknown message type"},
-		{"missing from", `{"type":"digest"}`, "from is required"},
-		{"oversized payload", `{"type":"` + strings.Repeat("a", MaxMsgSize) + `"}`, "message too large"},
-		{"oversized from", `{"type":"join","from":"` + longID + `"}`, "from is"},
-		{"oversized addr", `{"type":"join","from":"d1","addr":"` + longID + `"}`, "addr is"},
-		{"nul in from", `{"type":"join","from":"a\u0000b"}`, "NUL"},
-		{"negative shard count", `{"type":"digest","from":"d1","shardCount":-1}`, "shardCount -1"},
-		{"huge shard count", `{"type":"digest","from":"d1","shardCount":5000}`, "shardCount 5000"},
-		{"negative shard index", `{"type":"diff","from":"d1","shards":[-1]}`, "shards[0]"},
-		{"huge shard index", `{"type":"diff","from":"d1","shards":[4096]}`, "shards[0]"},
-		{"empty meta node", `{"type":"diff","from":"d1","metas":[{"node":"","version":1}]}`, "empty node"},
-		{"oversized meta node", `{"type":"diff","from":"d1","metas":[{"node":"` + longID + `","version":1}]}`, "metas[0].node"},
-		{"empty delta node", `{"type":"delta","from":"d1","deltas":[{"node":"","version":1}]}`, "empty node"},
-		{"oversized delta origin", `{"type":"delta","from":"d1","deltas":[{"node":"n","origin":"` + longID + `","version":1}]}`, "deltas[0].origin"},
-		{"too many pull nodes", `{"type":"pull","from":"d1","nodes":` + manyNodes + `}`, "node list"},
-		{"empty pull node", `{"type":"pull","from":"d1","nodes":[""]}`, "nodes[0] is empty"},
-		{"negative ttl", `{"type":"delta","from":"d1","ttl":-1}`, "ttl -1"},
-		{"huge ttl", `{"type":"delta","from":"d1","ttl":64}`, "ttl 64"},
+		{"valid join", enc(Msg{Type: MsgJoin, From: "d1", Addr: "127.0.0.1:9"}), ""},
+		{"valid digest", enc(Msg{Type: MsgDigest, From: "d1", ShardCount: 2, Digests: []uint64{1, 2}}), ""},
+		{"valid delta", enc(Msg{Type: MsgDelta, From: "d1", TTL: 3, Deltas: []crp.NodeDelta{
+			{NodeMeta: crp.NodeMeta{Node: "n1", Version: 1}, Probes: []crp.Probe{{At: at, Replicas: []crp.ReplicaID{"r1"}}}},
+		}}), ""},
+		{"valid pull", enc(Msg{Type: MsgPull, From: "d1", Nodes: []string{"n1", "n2"}}), ""},
+		{"empty payload", nil, "bad message"},
+		{"truncated json", []byte(`{"type":"del`), "bad message"},
+		{"not an object", []byte(`[1,2]`), "bad message"},
+		{"json datagram", []byte(`{"type":"join","from":"d1","addr":"127.0.0.1:9"}`), "bad message"},
+		{"unknown type", withType(byte(MsgPull) + 1), "unknown message type"},
+		{"missing type", []byte{binMagic, binVersion}, "bad message"},
+		{"missing from", enc(Msg{Type: MsgDigest}), "from is required"},
+		{"oversized payload", make([]byte, MaxMsgSize+1), "message too large"},
+		{"oversized from", enc(Msg{Type: MsgJoin, From: longID}), "from"},
+		{"oversized addr", enc(Msg{Type: MsgJoin, From: "d1", Addr: longID}), "addr"},
+		{"nul in from", enc(Msg{Type: MsgJoin, From: "a\x00b"}), "NUL"},
+		{"negative shard count", enc(Msg{Type: MsgDigest, From: "d1", ShardCount: -1}), "shardCount"},
+		{"huge shard count", enc(Msg{Type: MsgDigest, From: "d1", ShardCount: 5000}), "shardCount"},
+		{"negative shard index", enc(Msg{Type: MsgDiff, From: "d1", Shards: []int{-1}}), "shards[0]"},
+		{"huge shard index", enc(Msg{Type: MsgDiff, From: "d1", Shards: []int{4096}}), "shards[0]"},
+		{"empty meta node", enc(Msg{Type: MsgDiff, From: "d1", Metas: []crp.NodeMeta{{Version: 1}}}), "empty node"},
+		{"oversized meta node", enc(Msg{Type: MsgDiff, From: "d1", Metas: []crp.NodeMeta{{Node: crp.NodeID(longID), Version: 1}}}), "metas[0]"},
+		{"empty delta node", enc(Msg{Type: MsgDelta, From: "d1", Deltas: []crp.NodeDelta{{NodeMeta: crp.NodeMeta{Version: 1}}}}), "empty node"},
+		{"oversized delta origin", enc(Msg{Type: MsgDelta, From: "d1", Deltas: []crp.NodeDelta{
+			{NodeMeta: crp.NodeMeta{Node: "n", Origin: longID, Version: 1}},
+		}}), "deltas[0]"},
+		{"too many pull nodes", enc(Msg{Type: MsgPull, From: "d1", Nodes: manyNodes}), "nodes"},
+		{"empty pull node", enc(Msg{Type: MsgPull, From: "d1", Nodes: []string{"", "n1"}}), "nodes[0] is empty"},
+		{"negative ttl", enc(Msg{Type: MsgDelta, From: "d1", TTL: -1}), "ttl"},
+		{"huge ttl", enc(Msg{Type: MsgDelta, From: "d1", TTL: 64}), "ttl"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := decodePeerMsg([]byte(tc.raw))
+			_, err := decodePeerMsg(tc.raw)
 			if tc.wantErr == "" {
 				if err != nil {
-					t.Fatalf("decodePeerMsg(%q) = %v, want ok", truncateRaw(tc.raw), err)
+					t.Fatalf("decodePeerMsg(%s) = %v, want ok", truncateRaw(tc.raw), err)
 				}
 				return
 			}
 			if err == nil {
-				t.Fatalf("decodePeerMsg(%q) accepted, want error containing %q", truncateRaw(tc.raw), tc.wantErr)
+				t.Fatalf("decodePeerMsg(%s) accepted, want error containing %q", truncateRaw(tc.raw), tc.wantErr)
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("error = %q, want substring %q", err, tc.wantErr)
@@ -63,68 +88,9 @@ func TestDecodePeerMsgBounds(t *testing.T) {
 	}
 }
 
-func truncateRaw(s string) string {
-	if len(s) > 120 {
-		return s[:120] + "..."
+func truncateRaw(raw []byte) string {
+	if len(raw) > 60 {
+		return fmt.Sprintf("%q...", raw[:60])
 	}
-	return s
-}
-
-// FuzzDecodePeerMsg asserts the gossip decoder never panics and that every
-// accepted message also survives the full datagram handler — the same
-// discipline FuzzDecodeRequest enforces on the crpd query path.
-func FuzzDecodePeerMsg(f *testing.F) {
-	seeds := []string{
-		`{"type":"join","from":"d1","addr":"127.0.0.1:9000"}`,
-		`{"type":"join-ack","from":"d2","addr":"127.0.0.1:9001"}`,
-		`{"type":"digest","from":"d1","shardCount":4,"digests":[1,2,3,4]}`,
-		`{"type":"diff","from":"d2","shards":[0,3],"metas":[{"node":"n1","origin":"d1","version":2}]}`,
-		`{"type":"delta","from":"d1","ttl":3,"deltas":[{"node":"n1","origin":"d1","version":1,"probes":[{"at":"2026-01-01T00:00:00Z","replicas":["r1","r2"]}]}]}`,
-		`{"type":"delta","from":"d1","ttl":1,"deltas":[{"node":"n2","origin":"d1","version":5,"deleted":true,"deletedAt":"2026-01-01T00:00:00Z"}]}`,
-		`{"type":"pull","from":"d2","nodes":["n1","n2"]}`,
-		`{"type":"digest","from":"d1","shardCount":-3}`,
-		`{"type":"evict","from":"d1"}`,
-		`{"type":`,
-		``,
-		`[]`,
-		`{"type":"join","from":"\u0000"}`,
-	}
-	for _, s := range seeds {
-		f.Add([]byte(s))
-	}
-
-	mesh := NewMemMesh()
-	svc := crp.NewServiceWithStore(crp.StoreConfig{Shards: 4})
-	p, err := New(Config{
-		Self: "fuzz-self", Addr: "fuzz-self", Service: svc,
-		Registry: obs.NewRegistry(), Resolve: mesh.Resolve, Seed: 1,
-	})
-	if err != nil {
-		f.Fatal(err)
-	}
-	p.Attach(mesh.Conn("fuzz-self"))
-	if err := p.AddPeer("fuzz-peer", "fuzz-peer"); err != nil {
-		f.Fatal(err)
-	}
-	if err := svc.Observe("seed-node", time.Unix(0, 0), "r1", "r2"); err != nil {
-		f.Fatal(err)
-	}
-
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		m, bin, err := decodePeerMsg(raw)
-		if err == nil {
-			maxDeltas := MaxDeltas
-			if bin {
-				maxDeltas = MaxDeltasBinary
-			}
-			if !validTypes[m.Type] || len(m.Digests) > MaxShardCount ||
-				len(m.Metas) > MaxMetas || len(m.Deltas) > maxDeltas ||
-				len(m.Nodes) > MaxPullNodes || m.TTL < 0 || m.TTL > MaxTTL {
-				t.Fatalf("decoder accepted out-of-bounds message: %+v", m)
-			}
-		}
-		// Decoded or not, the handler must absorb the datagram without
-		// panicking (bad messages only bump a counter).
-		p.HandleDatagram(raw, memAddr("fuzz-peer"))
-	})
+	return fmt.Sprintf("%q", raw)
 }

@@ -91,14 +91,11 @@ func TestDecodePlanMalformed(t *testing.T) {
 			field: "transport", detail: "tcp",
 		},
 		{
-			name:  "bad gossip codec token",
-			raw:   mutate(t, func(p map[string]any) { p["codec"] = "protobuf" }),
-			field: "codec", detail: "protobuf",
-		},
-		{
-			name:  "mixed codec single daemon",
-			raw:   mutate(t, func(p map[string]any) { p["codec"] = "mixed"; p["daemons"] = 1 }),
-			field: "codec",
+			// Gossip is binary-only: the plan-level codec field is gone and
+			// must be refused, not silently ignored.
+			name:  "retired gossip codec field",
+			raw:   mutate(t, func(p map[string]any) { p["codec"] = "json" }),
+			field: "plan", detail: `unknown field "codec"`,
 		},
 		{
 			name:  "tick beyond duration",

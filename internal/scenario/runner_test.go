@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/obs"
 )
 
@@ -189,6 +190,39 @@ func TestCheckedInPlansDecode(t *testing.T) {
 			}
 			check(t, p)
 		})
+	}
+}
+
+// TestScenarioGossipLossPlan runs the checked-in lossy-gossip plan: with 30%
+// of gossip datagrams dropped the mesh must still meet the plan's envelope
+// (anti-entropy repairs what rumors lose). The activation and registry
+// assertions pin that the fault actually fired and that every stage of the
+// gossip path reached the run's registry, so the envelope is not vacuous.
+func TestScenarioGossipLossPlan(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "scenarios", "gossip_loss.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := DecodePlan(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	rep, err := Run(p, Options{Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Det.AllPass {
+		t.Fatalf("gates failed: %+v", rep.FailedGates())
+	}
+	if rep.Det.Activations[faults.PacketLoss] == 0 {
+		t.Fatal("pkt-loss never activated; the envelope is vacuous")
+	}
+	counters := reg.Snapshot().Counters
+	for _, name := range []string{"rounds", "msgs", "deltas_sent", "deltas_applied", "digests_sent", "digest_bytes"} {
+		if counters["peering."+name] == 0 {
+			t.Errorf("peering.%s = 0 in the run's registry", name)
+		}
 	}
 }
 
