@@ -8,11 +8,8 @@ build:
 test:
 	$(GO) test ./...
 
-# bench runs the root-package micro-benchmarks, then the daemon stress bench
-# (BENCH_crpd.json: cheap-op latency with and without concurrent SMF
-# clustering load), then the store churn bench at full scale
-# (BENCH_churn.json: query latency under continuous ingestion, sharded store
-# vs the single-snapshot baseline, 50k nodes), then the fault sweep
+# bench runs the root-package micro-benchmarks (the similarity kernels,
+# SMF clustering and repeated Service top-K), then the fault sweep
 # (BENCH_faults.json: closest-node accuracy across probe-loss rates x CDN
 # staleness windows), then the aggregation scale bench
 # (BENCH_scale.json: million-client ingest with prefix aggregation on/off x
@@ -25,10 +22,10 @@ test:
 # precision/recall/latency vs the fault plane's compiled truth schedule
 # across detector sensitivity x fault scenario, self-gating). All reports
 # embed provenance metadata (seed, host width, go version, scale knobs).
+# Daemon, ingest and gossip performance is measured end to end by
+# perfbench (bash perfbench/run.sh --workload point_udp|scan_ingest|gossip_sync).
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .
-	$(GO) run ./cmd/crpbench -exp crpd -quick -out BENCH_crpd.json
-	$(GO) run ./cmd/crpbench -exp churn -out BENCH_churn.json
 	$(GO) run ./cmd/crpbench -exp faults -out BENCH_faults.json
 	$(GO) run ./cmd/crpbench -exp scale -out BENCH_scale.json
 	$(GO) run ./cmd/crpbench -exp fusion -out BENCH_fusion.json

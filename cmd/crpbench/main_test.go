@@ -1,16 +1,34 @@
 package main
 
-import "testing"
+import (
+	"path/filepath"
+	"testing"
+)
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run([]string{"-quick", "-exp", "fig99"}); err == nil {
-		t.Error("unknown experiment should fail")
+	for _, exp := range []string{"fig99", "crpd", "churn", "kernels"} {
+		if err := run([]string{"-quick", "-exp", exp}); err == nil {
+			t.Errorf("unknown experiment %q should fail", exp)
+		}
 	}
 }
 
 func TestRunBadFlag(t *testing.T) {
-	if err := run([]string{"-bogus"}); err == nil {
-		t.Error("unknown flag should fail")
+	for _, args := range [][]string{{"-bogus"}, {"-exp", "faults", "-nodes", "100"}} {
+		if err := run(args); err == nil {
+			t.Errorf("run %v: unknown flag should fail", args)
+		}
+	}
+}
+
+// The paper experiments print tables and write no report, so -out must be
+// rejected up front rather than silently ignored.
+func TestRunPaperExperimentRejectsOut(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "x.json")
+	for _, exp := range []string{"table1", "all"} {
+		if err := run([]string{"-exp", exp, "-quick", "-out", out}); err == nil {
+			t.Errorf("run -exp %s -out: want error", exp)
+		}
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 type benchArgs struct {
 	quick  bool
 	seed   int64
-	nodes  int
 	out    string
 	detOut string
 	plan   string
@@ -28,7 +27,7 @@ type experimentSpec struct {
 	// through the figure dispatcher; run is nil for them.
 	paper bool
 	// flags lists the optional flag names this experiment honors beyond
-	// -exp and -out. Setting any other flag is an error.
+	// -exp. Setting any other flag is an error.
 	flags []string
 	// require lists flags that must be set.
 	require []string
@@ -36,7 +35,7 @@ type experimentSpec struct {
 }
 
 func (s *experimentSpec) allows(flag string) bool {
-	if flag == "exp" || flag == "out" {
+	if flag == "exp" {
 		return true
 	}
 	for _, f := range s.flags {
@@ -52,7 +51,7 @@ func (s *experimentSpec) validateFlags(set map[string]bool) error {
 	for f := range set {
 		if !s.allows(f) {
 			return fmt.Errorf("experiment %q does not take -%s (accepts: %s)",
-				s.name, f, strings.Join(append([]string{"out"}, s.flags...), ", "))
+				s.name, f, strings.Join(s.flags, ", "))
 		}
 	}
 	for _, f := range s.require {
@@ -83,43 +82,28 @@ var experiments = []experimentSpec{
 	paperSpec("sec6", "name selection, overhead and bootstrap studies"),
 	paperSpec("ablations", "similarity/center/coverage/baseline/stability ablations"),
 	{
-		name: "kernels", desc: "map-based vs compiled-vector similarity kernel timings",
-		flags: []string{"quick"},
-		run:   func(a benchArgs) error { return runKernels(a.quick) },
-	},
-	{
-		name: "crpd", desc: "daemon stress bench: cheap-op latency under SMF clustering load",
-		flags: []string{"quick", "seed"},
-		run:   func(a benchArgs) error { return runCrpdBench(a.quick, a.seed, a.out) },
-	},
-	{
-		name: "churn", desc: "sharded store vs snapshot baseline under continuous ingest",
-		flags: []string{"quick", "seed", "nodes"},
-		run:   func(a benchArgs) error { return runChurn(a.quick, a.seed, a.nodes, a.out) },
-	},
-	{
 		name: "faults", desc: "accuracy degradation across probe-loss x CDN-staleness",
-		flags: []string{"quick", "seed"},
+		flags: []string{"quick", "seed", "out"},
 		run:   func(a benchArgs) error { return runFaultSweep(a.quick, a.seed, a.out) },
 	},
 	{
 		name: "scale", desc: "million-client ingest with prefix aggregation on/off",
-		flags: []string{"quick", "seed", "det-out"},
+		flags: []string{"quick", "seed", "out", "det-out"},
 		run:   func(a benchArgs) error { return runScale(a.quick, a.seed, a.out, a.detOut) },
 	},
 	{
 		name: "fusion", desc: "multi-CDN fused kernel vs single-CDN baselines",
-		flags: []string{"quick", "seed"},
+		flags: []string{"quick", "seed", "out"},
 		run:   func(a benchArgs) error { return runFusion(a.quick, a.seed, a.out) },
 	},
 	{
 		name: "drift", desc: "CDN-change detector precision/recall vs the fault plane's truth schedule",
-		flags: []string{"quick", "seed", "det-out"},
+		flags: []string{"quick", "seed", "out", "det-out"},
 		run:   func(a benchArgs) error { return runDriftBench(a.quick, a.seed, a.out, a.detOut) },
 	},
 	{
 		name: "scenario", desc: "declarative scenario runner: drive a daemon mesh from a JSON plan",
-		flags: []string{"plan", "det-out"}, require: []string{"plan"},
+		flags: []string{"plan", "out", "det-out"}, require: []string{"plan"},
 		run: func(a benchArgs) error { return runScenario(a.plan, a.out, a.detOut) },
 	},
 }

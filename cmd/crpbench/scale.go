@@ -25,6 +25,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -350,8 +351,8 @@ func scoreScaleAccuracy(svc *crp.Service, w scaleWorld, cands []crp.NodeID, base
 }
 
 // runScaleQueryPhase measures closest-node latency under a concurrent probe
-// stream: catch-up-paced ingestion of fresh probes (as in the churn bench)
-// plus one closed-loop ClosestTo worker per core.
+// stream: catch-up-paced ingestion of fresh probes plus one closed-loop
+// ClosestTo worker per core.
 func runScaleQueryPhase(svc *crp.Service, w scaleWorld, cands []crp.NodeID, base time.Time, phase time.Duration, cell *scaleCell) error {
 	const ingestRate = 2000
 	var observes atomic.Int64
@@ -425,13 +426,24 @@ func runScaleQueryPhase(svc *crp.Service, w scaleWorld, cands []crp.NodeID, base
 		}
 		all = append(all, lats[wk]...)
 	}
-	p := summarizePhase(all, elapsed)
-	cell.QueryPhase.Queries = p.Requests
-	cell.QueryPhase.QueriesPerSec = p.PerSecond
-	cell.QueryPhase.P50Micros = p.P50Micros
-	cell.QueryPhase.P99Micros = p.P99Micros
-	cell.QueryPhase.IngestObserves = observes.Load()
+	slices.Sort(all)
+	qp := &cell.QueryPhase
+	qp.Queries = len(all)
+	qp.QueriesPerSec = float64(len(all)) / elapsed.Seconds()
+	qp.P50Micros = float64(percentileDur(all, 0.50)) / 1e3
+	qp.P99Micros = float64(percentileDur(all, 0.99)) / 1e3
+	qp.IngestObserves = observes.Load()
 	return nil
+}
+
+// percentileDur returns the q-quantile of an ascending latency slice by
+// nearest-rank interpolation.
+func percentileDur(sorted []time.Duration, q float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	idx := int(q * float64(len(sorted)-1))
+	return sorted[idx]
 }
 
 // runScaleCell runs one sweep point end to end. prefixBits == 0 means
@@ -570,7 +582,7 @@ func runScale(quick bool, seed int64, out, detOut string) error {
 			cell.Demoted, cell.ReductionX, cell.RankDeltaMean, cell.AgreementPct,
 			cell.HeapPerClientBytes, cell.QueryPhase.P99Micros)
 
-		// In-process gates, mirroring the churn/gossip benches.
+		// In-process gates: a failing cell fails the run.
 		if pl.bits == 0 {
 			if cell.RankDeltaMean != 0 || cell.AgreementPct != 100 {
 				return fmt.Errorf("scale cell (per-client): baseline disagrees with itself (mean delta %.3f, agree %.1f%%)",

@@ -12,10 +12,10 @@ import (
 // Service-level instruments, registered in the default obs registry and
 // shared by every Service in the process: mutation/query volumes, the
 // effectiveness of the stitched candidate snapshot, per-shard rebuild
-// activity, and query latency histograms so the daemon's stats op and the
-// churn benchmark can report service-layer percentiles, not just
-// daemon-layer ones. Incrementing a counter is one atomic add, so the hot
-// paths stay allocation-free.
+// activity, and query latency histograms so the daemon's stats op can
+// report service-layer percentiles, not just daemon-layer ones.
+// Incrementing a counter is one atomic add, so the hot paths stay
+// allocation-free.
 var svcMetrics = struct {
 	observes         *obs.Counter
 	queries          *obs.Counter // point queries: ratio map, similarity, ranking

@@ -36,8 +36,8 @@ type StoreConfig struct {
 	// FullRebuild disables incremental sub-snapshot maintenance: a dirty
 	// shard re-collects and re-sorts its whole submap instead of patching
 	// changed vectors in place. With Shards: 1 this reproduces the
-	// pre-sharding single-snapshot design, the baseline the churn benchmark
-	// compares against.
+	// pre-sharding single-snapshot design; tests use it as the reference
+	// store the incremental paths must agree with.
 	FullRebuild bool
 }
 
@@ -48,12 +48,13 @@ type StoreConfig struct {
 // patches every shard a batch of writes touched, each patch copying N/S
 // entries, so with B writes spread across shards the copied volume is
 // ≈ S·(1-(1-1/S)^B)·N/S entries — a quantity that *shrinks* as S grows,
-// along with the allocation garbage those copies feed the collector. The churn benchmark measures the effect directly: at
-// 50k nodes under a 1.5k/s observe stream, going from 64 to 256 shards
-// nearly halves query p99 on a single-core host. Per-shard fixed overhead
-// (two small maps, a gauge, three words of sync state) is a few hundred
-// bytes, so even a store holding a handful of nodes pays nothing noticeable
-// for an oversized shard table.
+// along with the allocation garbage those copies feed the collector.
+// Measured when the sharded store was introduced: at 50k nodes under a
+// 1.5k/s observe stream, going from 64 to 256 shards nearly halves query
+// p99 on a single-core host. Per-shard fixed overhead (two small maps, a
+// gauge, three words of sync state) is a few hundred bytes, so even a
+// store holding a handful of nodes pays nothing noticeable for an
+// oversized shard table.
 func defaultShardCount(procs int) int {
 	return shardCount(min(max(4*procs, 256), 1024))
 }

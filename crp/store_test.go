@@ -194,9 +194,9 @@ func TestStoreSnapshotSingleFlight(t *testing.T) {
 }
 
 // TestStoreModesAgree drives the same workload through the default sharded
-// store and the single-shard full-rebuild baseline, and requires identical
-// query results — the churn benchmark's comparison is only meaningful if the
-// two modes are observably the same service.
+// store and the single-shard full-rebuild reference, and requires identical
+// query results: the incremental snapshot paths must be observably the same
+// service as the pre-sharding design.
 func TestStoreModesAgree(t *testing.T) {
 	sharded := NewService(WithWindow(10))
 	single := NewServiceWithStore(StoreConfig{Shards: 1, FullRebuild: true}, WithWindow(10))

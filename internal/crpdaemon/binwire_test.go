@@ -183,6 +183,46 @@ func TestCrossCodecRequest(t *testing.T) {
 	}
 }
 
+// TestBinaryDecodeAllocatesLess pins the binary codec's reason to exist:
+// decoding a cheap-op request and a 3-entry closest reply must allocate
+// strictly less than decoding the same message as JSON. Each decoder is
+// warmed once first so encoding/json's one-time type caches don't count.
+func TestBinaryDecodeAllocatesLess(t *testing.T) {
+	req := Request{Op: "similarity", A: "m00-n000", B: "m00-n001"}
+	sim := 0.5
+	resp := Response{OK: true, Ranked: []RankedNode{
+		{Node: "m00-n000", Similarity: 0.9},
+		{Node: "m00-n001", Similarity: 0.7},
+		{Node: "m00-n002", Similarity: 0.5},
+	}, Similarity: &sim}
+	allocs := func(bin bool) (reqAllocs, replyAllocs float64) {
+		reqWire, err := EncodeRequest(&req, bin)
+		if err != nil {
+			t.Fatalf("encode request (bin=%v): %v", bin, err)
+		}
+		replyWire := EncodeResponseWire(&resp, bin)
+		if _, _, err := DecodeRequest(reqWire); err != nil {
+			t.Fatalf("decode request warm-up (bin=%v): %v", bin, err)
+		}
+		if _, _, err := DecodeResponse(replyWire); err != nil {
+			t.Fatalf("decode reply warm-up (bin=%v): %v", bin, err)
+		}
+		reqAllocs = testing.AllocsPerRun(512, func() { DecodeRequest(reqWire) })
+		replyAllocs = testing.AllocsPerRun(512, func() { DecodeResponse(replyWire) })
+		return reqAllocs, replyAllocs
+	}
+	jsonReq, jsonReply := allocs(false)
+	binReq, binReply := allocs(true)
+	t.Logf("decode allocs: request json %.0f bin %.0f; reply json %.0f bin %.0f",
+		jsonReq, binReq, jsonReply, binReply)
+	if binReq >= jsonReq {
+		t.Errorf("request decode: binary %.0f allocs, JSON %.0f — binary must allocate less", binReq, jsonReq)
+	}
+	if binReply >= jsonReply {
+		t.Errorf("reply decode: binary %.0f allocs, JSON %.0f — binary must allocate less", binReply, jsonReply)
+	}
+}
+
 // TestBinaryResponseRoundTrip pins decode(encode(x)) == x for every reply
 // shape, including the embedded introspection documents and batch replies.
 func TestBinaryResponseRoundTrip(t *testing.T) {
